@@ -660,45 +660,67 @@ def run_memory_guard(args) -> int:
 
 
 def _shard_trace_identity(seed: int) -> dict:
-    """Small-scale gate: a 4-shard run must be trace-identical to the
+    """Small-scale gate: sharded runs must be trace-identical to the
     single-process grouped engine (same config, same seed, every trace
-    array equal bit for bit)."""
+    array equal bit for bit).  Checked at 4 shards over even popularity
+    (equal-width ranges) and at 2 and 3 shards over Zipf popularity,
+    whose cost-weighted partition gives uneven ranges."""
     from repro.runtime import ShardedSystem
     from repro.sim import ChurnConfig
+    from repro.workloads.popularity import zipf_popularity
 
     N, C, T = 2_000, 8, 25
-    config = SystemConfig(
-        num_peers=N,
-        num_helpers=2 * C,
-        num_channels=C,
-        channel_bitrates=100.0,
-        churn=ChurnConfig(
-            arrival_rate=2.0, mean_lifetime=25.0, initial_peer_lifetimes=True
-        ),
-    )
-    reference = VectorizedStreamingSystem(
-        config, bank_factory("r2hs", u_max=U_MAX), rng=seed, engine="grouped"
-    ).run(T)
-    with ShardedSystem(
-        config, bank_factory("r2hs", u_max=U_MAX), shards=4, rng=seed
-    ) as system:
-        trace = system.run(T)
-    identical = all(
-        np.array_equal(getattr(trace, field), getattr(reference, field))
-        for field in (
-            "welfare", "loads", "server_load", "capacities",
-            "min_deficit", "online_peers", "total_demand", "times",
+    cases = []
+    for popularity, shards in ((None, 4), ("zipf", 2), ("zipf", 3)):
+        config = SystemConfig(
+            num_peers=N,
+            num_helpers=2 * C,
+            num_channels=C,
+            channel_bitrates=100.0,
+            channel_popularity=(
+                None if popularity is None else zipf_popularity(C, 1.0)
+            ),
+            churn=ChurnConfig(
+                arrival_rate=2.0, mean_lifetime=25.0,
+                initial_peer_lifetimes=True,
+            ),
         )
-    )
-    return {"peers": N, "channels": C, "rounds": T, "identical": identical}
+        reference = VectorizedStreamingSystem(
+            config, bank_factory("r2hs", u_max=U_MAX), rng=seed,
+            engine="grouped",
+        ).run(T)
+        with ShardedSystem(
+            config, bank_factory("r2hs", u_max=U_MAX), shards=shards,
+            rng=seed,
+        ) as system:
+            trace = system.run(T)
+            bounds = system.bank.shard_bounds
+        cases.append({
+            "popularity": popularity or "even",
+            "shards": shards,
+            "bounds": bounds,
+            "identical": all(
+                np.array_equal(getattr(trace, field), getattr(reference, field))
+                for field in (
+                    "welfare", "loads", "server_load", "capacities",
+                    "min_deficit", "online_peers", "total_demand", "times",
+                )
+            ),
+        })
+    return {
+        "peers": N, "channels": C, "rounds": T, "cases": cases,
+        "identical": all(case["identical"] for case in cases),
+    }
 
 
 def run_shard_guard(args) -> int:
     """CI gate for the sharded runtime: bit identity, budgets, scaling.
 
-    (1) asserts small-scale trace identity between a 4-shard
+    (1) asserts small-scale trace identity between
     :class:`ShardedSystem` and the single-process grouped engine under
-    churn — unconditional, bit identity is the sharding contract;
+    churn, at 4 shards over even popularity and at 2 and 3 shards over a
+    Zipf-skewed (unevenly partitioned) one — unconditional, bit identity
+    is the sharding contract;
     (2) drives the guard-scale config (100k peers across 50 width-2
     channels by default) at each shard count in ``--shard-counts`` and
     records rounds/s for the trajectory;
@@ -715,14 +737,19 @@ def run_shard_guard(args) -> int:
     from repro.runtime import ShardedSystem
 
     identity = _shard_trace_identity(args.seed)
-    print(
-        f"shard guard: 4-shard trace identity at N={identity['peers']} "
-        f"C={identity['channels']}: "
-        f"{'OK' if identity['identical'] else 'FAIL'}"
-    )
     failures = []
-    if not identity["identical"]:
-        failures.append("4-shard trace differs from the single-process engine")
+    for case in identity["cases"]:
+        print(
+            f"shard guard: {case['shards']}-shard trace identity at "
+            f"N={identity['peers']} C={identity['channels']}, "
+            f"{case['popularity']} popularity, bounds {case['bounds']}: "
+            f"{'OK' if case['identical'] else 'FAIL'}"
+        )
+        if not case["identical"]:
+            failures.append(
+                f"{case['shards']}-shard trace ({case['popularity']} "
+                "popularity) differs from the single-process engine"
+            )
 
     counts = [int(c) for c in args.shard_counts.split(",") if c]
     peers, channels = args.shard_peers, args.guard_channels

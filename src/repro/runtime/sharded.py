@@ -8,7 +8,10 @@ a *per-channel* RNG stream.  :class:`ShardedSystem` exploits exactly
 that structure.  It presents the ``VectorizedStreamingSystem`` facade
 unchanged — same config, same trace, same churn/capacity semantics —
 but hosts the banks' heavy state (the ``(rows, H, H)`` regret tensors)
-in worker processes, one contiguous channel range per shard.
+in worker processes, one contiguous channel range per shard.  The ranges
+balance estimated kernel cost (expected rows x width², see
+:func:`balanced_bounds`), so Zipf-skewed popularity does not pile the
+hot channels' rows onto one shard.
 
 Split of responsibilities
 -------------------------
@@ -49,12 +52,16 @@ Shard-death containment
 
 Every pipe exchange doubles as a heartbeat: a dead or hung shard is
 detected at the next barrier (``heartbeat_timeout``).  Recovery is
-rebuild-and-replay: the worker is respawned — from its last pickled
-checkpoint when one exists, else from the construction closure (the
-parent's pristine generator copies make that deterministic) — and the
-message log since the checkpoint is replayed, reproducing the bank
-state bit-for-bit.  ``checkpoint_every`` bounds the log; retries are
-capped by ``max_retries`` like the sweep supervisor's cells.
+rebuild-and-replay: the worker is respawned — from its last
+acknowledged checkpoint file when one exists, else from the construction
+closure (the parent's pristine generator copies make that
+deterministic) — and the message log since the checkpoint is replayed,
+reproducing the bank state bit-for-bit.  ``checkpoint_every`` bounds the
+log; retries are capped by ``max_retries`` like the sweep supervisor's
+cells.  Checkpoints are taken by all shards at once, each worker
+pickling straight to a generation-named file in a per-bank temporary
+directory; the parent holds only paths, keeps at most two generations
+per shard on disk, and removes the directory on ``close()``.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import shutil
+import tempfile
 import time
 import traceback
 import weakref
@@ -72,6 +81,7 @@ import numpy as np
 from repro.analysis.parallel import share_array
 from repro.runtime.learner_bank import _RowBank
 from repro.runtime.system import VectorizedStreamingSystem
+from repro.sim.system import normalized_channel_weights
 from repro.telemetry import get_telemetry
 from repro.util.logconfig import get_logger
 
@@ -134,34 +144,51 @@ def _apply_commands(bank, commands) -> None:
             raise RuntimeError(f"unknown row command {op!r}")
 
 
-def _pickle_bank_state(bank, offsets, rows, local) -> bytes:
-    """Checkpoint the worker's full deterministic state.
+def _write_checkpoint(bank, offsets, rows, local, path: str) -> None:
+    """Pickle the worker's full deterministic state to ``path``.
 
-    The bank's telemetry phase handles are process-local (they belong to
-    the worker's registry); strip them around the pickle and re-bind on
-    restore.
+    Written to ``path + ".tmp"`` and renamed, so ``path`` is either
+    absent or complete.  The bank's telemetry phase handles are
+    process-local (they belong to the worker's registry); strip them
+    around the pickle and re-bind on restore.
     """
     ph_act, ph_observe = bank._ph_act, bank._ph_observe
     bank._ph_act = bank._ph_observe = None
+    tmp = path + ".tmp"
     try:
-        return pickle.dumps(
-            {"bank": bank, "offsets": offsets, "rows": rows, "local": local},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        with open(tmp, "wb") as fh:
+            pickle.dump(
+                {"bank": bank, "offsets": offsets, "rows": rows,
+                 "local": local},
+                fh,
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
     finally:
         bank._ph_act, bank._ph_observe = ph_act, ph_observe
+    os.replace(tmp, path)
+
+
+def _unlink(*paths) -> None:
+    for path in paths:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
 
 
 def _shard_worker(conn, build, checkpoint, handles, shard_index) -> None:
     """The worker main loop: strict request/reply over ``conn``.
 
-    Runs in a forked child.  Exits via ``os._exit`` so the parent's
-    inherited atexit handlers (shared-memory reapers included) never run
-    here — the parent owns every shared backing.
+    Runs in a forked child.  ``checkpoint`` is the path of the state file
+    to resume from (``None``: build from scratch).  Exits via
+    ``os._exit`` so the parent's inherited atexit handlers (shared-memory
+    reapers included) never run here — the parent owns every shared
+    backing.
     """
     try:
         if checkpoint is not None:
-            state = pickle.loads(checkpoint)
+            with open(checkpoint, "rb") as fh:
+                state = pickle.load(fh)
             bank = state["bank"]
             tel = get_telemetry()
             bank._ph_act = tel.phase("bank.act")
@@ -202,9 +229,8 @@ def _shard_worker(conn, build, checkpoint, handles, shard_index) -> None:
                 lanes = _open_lanes(msg[1])
                 conn.send(("ok",))
             elif kind == "checkpoint":
-                conn.send(
-                    ("ok", _pickle_bank_state(bank, offsets, rows, local))
-                )
+                _write_checkpoint(bank, offsets, rows, local, msg[1])
+                conn.send(("ok",))
             elif kind == "stop":
                 break
             else:  # pragma: no cover - protocol bug
@@ -286,7 +312,7 @@ def _entry_wire(entry):
     return ("observe", entry[1])
 
 
-def _shutdown(procs, conns, handle_dicts) -> None:
+def _shutdown(procs, conns, handle_dicts, checkpoint_dir) -> None:
     """Best-effort teardown shared by ``close()`` and the finalizer."""
     for conn in conns:
         if conn is None:
@@ -320,6 +346,61 @@ def _shutdown(procs, conns, handle_dicts) -> None:
                 handle.cleanup()
             except Exception:
                 pass
+    # Workers are gone, so no checkpoint write can race the removal.
+    if checkpoint_dir is not None:
+        shutil.rmtree(checkpoint_dir, ignore_errors=True)
+
+
+def balanced_bounds(costs: Sequence[float], shards: int) -> List[tuple]:
+    """Split channels into ``shards`` contiguous ``[lo, hi)`` ranges.
+
+    Minimizes the largest per-shard sum of ``costs`` (the round barrier
+    waits on the slowest shard).  Among the ranges achieving that, shard
+    ``s`` takes the fewest channels whose cost reaches an even share of
+    what the earlier shards left, so equal costs reproduce
+    ``np.array_split``'s bounds exactly.  Every shard gets at least one
+    channel (``1 <= shards <= len(costs)``).
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    num_channels = costs.size
+    cum = np.concatenate(([0.0], np.cumsum(costs)))
+    # Absorbs cumsum rounding: equal costs must compare equal.
+    slack = 1e-9 * cum[-1]
+
+    def reach(lo: int, cap: float) -> int:
+        """The furthest ``hi`` with ``cost[lo:hi] <= cap``."""
+        return int(np.searchsorted(cum, cum[lo] + cap + slack, "right")) - 1
+
+    def fits(lo: int, parts: int, cap: float) -> bool:
+        """Whether channels ``[lo, C)`` fit ``parts`` ranges of cost <= cap."""
+        for _ in range(parts):
+            lo = reach(lo, cap)
+        return lo >= num_channels
+
+    # Bisect the optimal bottleneck between its lower bound and the
+    # total; the extra slack keeps ties at the optimum admissible.
+    low, high = max(float(costs.max()), cum[-1] / shards), float(cum[-1])
+    while high - low > slack:
+        mid = 0.5 * (low + high)
+        if fits(0, shards, mid):
+            high = mid
+        else:
+            low = mid
+    cap = high + slack
+
+    bounds, lo = [], 0
+    for s in range(shards - 1):
+        left = shards - s
+        share = cum[lo] + (cum[-1] - cum[lo]) / left
+        hi = int(np.searchsorted(cum, share - slack, "left"))
+        most = min(num_channels - (left - 1), reach(lo, cap))
+        hi = min(max(hi, lo + 1), most)
+        while not fits(hi, left - 1, cap):
+            hi += 1
+        bounds.append((lo, hi))
+        lo = hi
+    bounds.append((lo, num_channels))
+    return bounds
 
 
 class _ShardedChannelView:
@@ -347,11 +428,14 @@ class ShardedGroupedBank:
     """The grouped-bank facade over a fleet of shard workers.
 
     Implements the :class:`~repro.runtime.grouped_bank.GroupedLearnerBank`
-    protocol for the parent's round loop; channels are partitioned into
-    ``shards`` contiguous ranges (``np.array_split`` over channel ids,
-    so the channel-sorted row permutation slices per shard without a
-    gather).  See the module docstring for the exchange protocol and the
-    recovery story.
+    protocol for the parent's round loop.  Channels are partitioned into
+    ``shards`` contiguous ranges (so the channel-sorted row permutation
+    slices per shard without a gather) by :func:`balanced_bounds` over
+    the per-channel cost ``channel_weights[c] * arm_counts[c]**2`` —
+    expected rows times the ``H x H`` regret work per row.  Without
+    weights every channel counts alike, which reproduces
+    ``np.array_split`` over channel ids.  See the module docstring for
+    the exchange protocol and the recovery story.
     """
 
     def __init__(
@@ -364,6 +448,7 @@ class ShardedGroupedBank:
         heartbeat_timeout: float = 60.0,
         max_retries: int = 2,
         mp_context: str = "fork",
+        channel_weights: Optional[Sequence[float]] = None,
     ) -> None:
         num_channels = len(arm_counts)
         shards = int(shards)
@@ -376,6 +461,10 @@ class ShardedGroupedBank:
             )
         if len(rngs) != num_channels:
             raise ValueError("need one child generator per channel")
+        if channel_weights is None:
+            channel_weights = np.ones(num_channels)
+        if len(channel_weights) != num_channels:
+            raise ValueError("need one partition weight per channel")
         try:
             self._ctx = mp.get_context(mp_context)
         except ValueError as exc:
@@ -394,8 +483,10 @@ class ShardedGroupedBank:
         self._timeout = float(heartbeat_timeout)
         self._max_retries = int(max_retries)
 
-        parts = np.array_split(np.arange(num_channels, dtype=np.int64), shards)
-        self._bounds = [(int(p[0]), int(p[-1]) + 1) for p in parts]
+        widths = np.asarray(self._arm_counts, dtype=np.float64)
+        self._bounds = balanced_bounds(
+            np.asarray(channel_weights, dtype=np.float64) * widths**2, shards
+        )
         self._shard_of = np.empty(num_channels, dtype=np.int64)
         for s, (lo, hi) in enumerate(self._bounds):
             self._shard_of[lo:hi] = s
@@ -409,7 +500,13 @@ class ShardedGroupedBank:
         self._ledgers: List[Optional[_ShardLedger]] = [None] * shards
         self._pending: List[list] = [[] for _ in range(shards)]
         self._logs: List[list] = [[] for _ in range(shards)]
-        self._checkpoints: List[Optional[bytes]] = [None] * shards
+        # Per shard: path of its last acknowledged checkpoint file.
+        self._checkpoints: List[Optional[str]] = [None] * shards
+        self._checkpoint_dir = (
+            tempfile.mkdtemp(prefix="repro-shards-")
+            if self._checkpoint_every else None
+        )
+        self._generation = 0
         self._attempts = [0] * shards
         self._rounds_since_checkpoint = 0
         self._closed = False
@@ -426,7 +523,8 @@ class ShardedGroupedBank:
         self._ctr_respawns = tel.counter("bank.shard_respawns")
 
         self._finalizer = weakref.finalize(
-            self, _shutdown, self._procs, self._conns, self._handles
+            self, _shutdown, self._procs, self._conns, self._handles,
+            self._checkpoint_dir,
         )
         try:
             for s in range(shards):
@@ -739,17 +837,39 @@ class ShardedGroupedBank:
             self._checkpoint()
 
     def _checkpoint(self) -> None:
-        """Snapshot every shard's state; truncate the replay logs."""
-        for s in range(self._num_shards):
+        """Snapshot every shard to disk at once; truncate the replay logs.
+
+        All requests go out before any ack is awaited, so the shards
+        pickle concurrently.  A shard's previous generation is deleted
+        only after its new one is acknowledged: a worker that dies
+        anywhere before the ack — even after its rename — respawns from
+        the last acknowledged file and replays the matching log.
+        """
+        self._generation += 1
+        paths = [
+            os.path.join(
+                self._checkpoint_dir, f"shard{s}-gen{self._generation}.pkl"
+            )
+            for s in range(self._num_shards)
+        ]
+        for s, path in enumerate(paths):
             try:
-                self._send(s, ("checkpoint",))
-                msg = self._recv(s)
+                self._send(s, ("checkpoint", path))
+            except _ShardDead:
+                pass  # the wait below detects the same death
+        for s, path in enumerate(paths):
+            try:
+                self._recv(s)
             except _ShardDead as exc:
-                # The shard was rebuilt with its old log intact; its
+                # Rebuilt with its old log intact (the dead worker is
+                # reaped first, so nothing still writes ``path``); the
                 # next cadence retries the snapshot.
                 self._respawn(s, cause=str(exc))
+                _unlink(path, path + ".tmp")
                 continue
-            self._checkpoints[s] = msg[1]
+            if self._checkpoints[s] is not None:
+                _unlink(self._checkpoints[s])
+            self._checkpoints[s] = path
             self._logs[s] = []
         self._rounds_since_checkpoint = 0
 
@@ -798,14 +918,34 @@ class _ShardedFactory:
         return self.built
 
 
+def _expected_rows(config, initial_channels) -> np.ndarray:
+    """Per-channel partition weight: the rows the shards will host.
+
+    The initial head count when ``initial_channels`` is given (out-of-
+    range ids are left for the system's own validation to reject), else
+    the channel popularity the initial population is drawn from.
+    """
+    num_channels = config.num_channels
+    if initial_channels is not None:
+        channels = np.asarray(list(initial_channels), dtype=np.int64)
+        channels = channels[(channels >= 0) & (channels < num_channels)]
+        counts = np.bincount(channels, minlength=num_channels)
+        if counts.sum() > 0:
+            return counts.astype(np.float64)
+    return normalized_channel_weights(num_channels, config.channel_popularity)
+
+
 class ShardedSystem(VectorizedStreamingSystem):
     """A :class:`VectorizedStreamingSystem` whose banks live in workers.
 
     Same constructor surface plus ``shards`` and the containment knobs;
     traces are bit-identical to the single-process engine for any shard
-    count (asserted in ``tests/runtime/test_sharded.py``).  Workers hold
-    OS resources: call :meth:`close` when done (or use the system as a
-    context manager); a garbage-collection finalizer backstops leaks.
+    count (asserted in ``tests/runtime/test_sharded.py``).  The channel
+    partition is weighted by the rows each channel is expected to host:
+    the ``initial_channels`` head count when given, else the config's
+    channel popularity.  Workers hold OS resources: call :meth:`close`
+    when done (or use the system as a context manager); a
+    garbage-collection finalizer backstops leaks.
 
     Parameters
     ----------
@@ -813,9 +953,13 @@ class ShardedSystem(VectorizedStreamingSystem):
         Worker processes to partition the channels across (1 <= shards
         <= num_channels).
     checkpoint_every:
-        Rounds between worker state snapshots (bounds the replay log a
-        shard death re-executes); ``0`` disables checkpointing and
-        replays from construction.
+        Rounds between worker state snapshots, which bounds the replay
+        log a shard death re-executes.  All shards snapshot at once,
+        each pickling its bank to a file in a per-system temporary
+        directory (under ``TMPDIR``); at most two generations per shard
+        exist on disk, and :meth:`close` removes the directory.  ``0``
+        disables checkpointing (no directory) and replays from
+        construction.
     heartbeat_timeout:
         Seconds a barrier wait may stall before the shard is declared
         dead and rebuilt.
@@ -850,6 +994,7 @@ class ShardedSystem(VectorizedStreamingSystem):
                 "checkpoint_every": checkpoint_every,
                 "heartbeat_timeout": heartbeat_timeout,
                 "max_retries": max_retries,
+                "channel_weights": _expected_rows(config, initial_channels),
             },
         )
         try:
