@@ -30,7 +30,8 @@ RSS stays under ``--rss-budget-mb`` and the round loop under
 ``--channels-scale`` is the *channel*-scaling study for the fused learner
 engine: for each C in the grid it builds the same system (two helpers per
 channel, so only the channel count — the dispatch structure — varies) on
-the ``grouped`` and ``per_channel`` engines and times the round loop.
+the ``grouped`` engine (the stock fused factory) and the ``per_channel``
+one (a plain per-channel R2HS factory) and times the round loop.
 ``--channels-guard`` is the CI gate: at C = 50 / 10k peers the fused
 engine must beat the per-channel dispatch (the engines are bit-identical,
 so the comparison is pure overhead).
@@ -260,21 +261,24 @@ def _time_engines(
 ) -> dict:
     """Best-of-blocks per-round time of each learner engine.
 
-    Blocks alternate between engines so machine-load drift hits both
-    alike (same estimator as :func:`time_backends`); both systems run the
-    same seed, and the engines are bit-identical, so the measured gap is
-    pure dispatch overhead.
+    ``grouped`` is the stock fused factory; ``per_channel`` a plain
+    per-channel R2HS factory, which the system runs through one bank per
+    channel.  Blocks alternate between engines so machine-load drift
+    hits both alike (same estimator as :func:`time_backends`); both
+    systems run the same seed, and the engines are bit-identical, so the
+    measured gap is pure dispatch overhead.
     """
+    from repro.runtime import R2HSBank
+
+    factories = {
+        "grouped": bank_factory("r2hs", u_max=U_MAX),
+        "per_channel": lambda h, rng: R2HSBank(h, rng=rng, u_max=U_MAX),
+    }
     systems = {}
     round_s = {}
-    for engine in ("grouped", "per_channel"):
+    for engine, factory in factories.items():
         gc.collect()
-        systems[engine] = VectorizedStreamingSystem(
-            config,
-            bank_factory("r2hs", u_max=U_MAX),
-            rng=seed,
-            engine=engine,
-        )
+        systems[engine] = VectorizedStreamingSystem(config, factory, rng=seed)
         systems[engine].run(1)  # warmup
         round_s[engine] = []
     for _ in range(blocks):
@@ -687,7 +691,6 @@ def _shard_trace_identity(seed: int) -> dict:
         )
         reference = VectorizedStreamingSystem(
             config, bank_factory("r2hs", u_max=U_MAX), rng=seed,
-            engine="grouped",
         ).run(T)
         with ShardedSystem(
             config, bank_factory("r2hs", u_max=U_MAX), shards=shards,

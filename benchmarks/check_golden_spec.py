@@ -13,9 +13,12 @@ vectorized backend and diffs the headline metrics against
 * the sparse top-k bank must reproduce the dense vectorized run exactly
   at k >= per-channel H (trace-identical by construction) and stay
   within a distributional band of it at k below that (true sparsity);
-* the per-channel learner engine must reproduce the (default) fused
-  grouped engine exactly — the two dispatch structures are bit-identical
-  by design, so their metrics must agree to float tolerance.
+* per-channel R2HS banks (a plain per-channel bank factory) must
+  reproduce the fused grouped bank exactly — the two dispatch structures
+  are bit-identical by design, so their metrics must agree to float
+  tolerance;
+* the ``failures`` / ``correlated_failures`` / ``oscillating`` capacity
+  transforms must reproduce their pinned ``transform-<name>`` metrics.
 
 Run with ``--update`` after an intentional behaviour change to
 regenerate the expectations file (and say why in the commit message).
@@ -112,41 +115,21 @@ def check_topk(spec: ExperimentSpec, observed: dict) -> list:
     return failures
 
 
-#: Legacy wrapper backends and the options their shim phase exercises
+#: Capacity transforms and the options their phase exercises
 #: (non-default so the options path is covered too).
-SHIM_CASES = {
+TRANSFORM_CASES = {
     "failures": {"failure_rate": 0.1, "mean_outage_rounds": 5.0},
     "correlated_failures": {"num_groups": 2, "group_failure_rate": 0.1},
     "oscillating": {"low_fraction": 0.3, "period": 7},
 }
 
 
-def check_transform_shims(spec: ExperimentSpec, observed: dict) -> list:
-    """Shim phase: legacy backend names must equal their transform spelling.
-
-    Self-consistent (no pinned data): the deprecated ``failures`` /
-    ``correlated_failures`` / ``oscillating`` capacity backends are
-    warn-once shims over the transform pipeline, so
-    ``capacity.backend=<name>`` and ``capacity.transforms=[{name}]``
-    must produce bit-identical runs.
-    """
-    import warnings
-
-    failures = []
-    for name, options in SHIM_CASES.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = {
-                k: float(v)
-                for k, v in spec.with_overrides(
-                    {
-                        "backend": "vectorized",
-                        "capacity.backend": name,
-                        "capacity.options": dict(options),
-                    }
-                ).run().metrics.items()
-            }
-        modern_spec = ExperimentSpec.from_dict(
+def run_transforms(spec: ExperimentSpec) -> dict:
+    """Each transform case, spelled ``capacity.transforms``, on the
+    vectorized backend."""
+    observed = {}
+    for name, options in TRANSFORM_CASES.items():
+        transformed = ExperimentSpec.from_dict(
             {
                 **spec.with_overrides({"backend": "vectorized"}).to_dict(),
                 "capacity": {
@@ -156,31 +139,47 @@ def check_transform_shims(spec: ExperimentSpec, observed: dict) -> list:
                 },
             }
         )
-        modern = {
-            k: float(v) for k, v in modern_spec.run().metrics.items()
+        observed[f"transform-{name}"] = {
+            k: float(v) for k, v in transformed.run().metrics.items()
         }
-        observed[f"shim-{name}"] = modern
-        for metric, value in legacy.items():
-            got = modern.get(metric)
-            if got is None or got != value:
-                failures.append(
-                    f"shim-{name}.{metric}: legacy backend gave {value!r}, "
-                    f"transform pipeline gave {got!r} (shims must be "
-                    "bit-identical)"
-                )
-    return failures
+    return observed
+
+
+#: Registry name of the per-channel reference family the engine phase
+#: registers for the duration of its run.
+PER_CHANNEL_LEARNER = "r2hs-per-channel-reference"
+
+
+def _per_channel_r2hs(epsilon, delta, mu, u_max, dtype):
+    """A plain per-channel R2HS bank factory (no fused hook)."""
+    from repro.runtime import R2HSBank
+
+    return lambda h, rng: R2HSBank(
+        h, rng=rng, epsilon=epsilon, delta=delta, mu=mu, u_max=u_max,
+        dtype=dtype,
+    )
 
 
 def check_engines(spec: ExperimentSpec, observed: dict) -> list:
-    """Engine phase: per_channel must equal the fused grouped default."""
-    failures = []
-    per_channel = {
-        name: float(value)
-        for name, value in spec.with_overrides(
-            {"backend": "vectorized", "learner.engine": "per_channel"}
-        ).run().metrics.items()
-    }
+    """Engine phase: per-channel R2HS banks must equal the fused bank."""
+    from repro.spec import register_learner
+    from repro.spec.registry import LEARNERS
+
+    register_learner(
+        PER_CHANNEL_LEARNER, bank=_per_channel_r2hs, min_actions=2,
+        overwrite=True,
+    )
+    try:
+        per_channel = {
+            name: float(value)
+            for name, value in spec.with_overrides(
+                {"backend": "vectorized", "learner.name": PER_CHANNEL_LEARNER}
+            ).run().metrics.items()
+        }
+    finally:
+        LEARNERS.unregister(PER_CHANNEL_LEARNER)
     observed["per-channel"] = per_channel
+    failures = []
     for name, value in observed["vectorized"].items():
         got = per_channel.get(name)
         if got is None or not math.isclose(
@@ -190,6 +189,28 @@ def check_engines(spec: ExperimentSpec, observed: dict) -> list:
                 f"per-channel.{name}: got {got!r}, grouped engine gave "
                 f"{value!r} (the engines must be bit-identical)"
             )
+    return failures
+
+
+def check_pinned(observed: dict, expected: dict) -> list:
+    """Each observed metric set must match its pinned expectations."""
+    failures = []
+    for label in observed:
+        want = expected.get(label)
+        if want is None:
+            failures.append(f"{label}: no expectations recorded")
+            continue
+        for name, value in want.items():
+            got = observed[label].get(name)
+            if got is None:
+                failures.append(f"{label}.{name}: metric missing from run")
+            elif not math.isclose(
+                got, value, rel_tol=SAME_BACKEND_RTOL, abs_tol=1e-9
+            ):
+                failures.append(
+                    f"{label}.{name}: got {got!r}, expected {value!r} "
+                    f"(rtol {SAME_BACKEND_RTOL})"
+                )
     return failures
 
 
@@ -203,6 +224,7 @@ def main(argv=None) -> int:
 
     spec = ExperimentSpec.load(SPEC_PATH)
     observed = {backend: run_backend(spec, backend) for backend in BACKENDS}
+    observed.update(run_transforms(spec))
 
     if args.update:
         EXPECTED_PATH.write_text(json.dumps(observed, indent=2) + "\n")
@@ -210,21 +232,7 @@ def main(argv=None) -> int:
         return 0
 
     expected = json.loads(EXPECTED_PATH.read_text())
-    failures = []
-    for backend in BACKENDS:
-        want = expected.get(backend)
-        if want is None:
-            failures.append(f"{backend}: no expectations recorded")
-            continue
-        for name, value in want.items():
-            got = observed[backend].get(name)
-            if got is None:
-                failures.append(f"{backend}.{name}: metric missing from run")
-            elif not math.isclose(got, value, rel_tol=SAME_BACKEND_RTOL, abs_tol=1e-9):
-                failures.append(
-                    f"{backend}.{name}: got {got!r}, expected {value!r} "
-                    f"(rtol {SAME_BACKEND_RTOL})"
-                )
+    failures = check_pinned(observed, expected)
 
     ws = observed["scalar"]["mean_welfare"]
     wv = observed["vectorized"]["mean_welfare"]
@@ -236,7 +244,6 @@ def main(argv=None) -> int:
 
     failures.extend(check_topk(spec, observed))
     failures.extend(check_engines(spec, observed))
-    failures.extend(check_transform_shims(spec, observed))
 
     width = max(len(label) for label in observed)
     for label, metrics in observed.items():
@@ -250,7 +257,7 @@ def main(argv=None) -> int:
         return 1
     print(
         "\nOK: golden spec reproduces on both backends, the topk bank, "
-        "and the legacy-backend shims"
+        "the per-channel banks and the capacity transforms"
     )
     return 0
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.game.repeated_game import Trajectory
 from repro.game.strategic_game import NormalFormGame, Profile
@@ -194,6 +193,9 @@ def solve_ce_lp(
         c = np.zeros(num_vars)
     else:
         raise ValueError(f"unknown objective {objective!r}")
+
+    # scipy is optional: only solving an LP needs it.
+    from scipy.optimize import linprog
 
     result = linprog(
         c,

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.mdp.markov_chain import MarkovChain
 
@@ -147,6 +146,9 @@ def solve_occupation_lp(
     for yi, y in enumerate(states):
         a_eq[yi, var(yi, 0) : var(yi, len(assignments) - 1) + 1] = 1.0
         b_eq[yi] = pi_of[y]
+
+    # scipy is optional: only solving an LP needs it.
+    from scipy.optimize import linprog
 
     result = linprog(
         c,

@@ -20,7 +20,8 @@ on dense arrays:
 * :mod:`repro.runtime.system` — :class:`VectorizedStreamingSystem`, whose
   learning round is a handful of numpy ops (one fused learner draw,
   ``np.bincount`` loads, masked deficit accounting, one fused learner
-  update — pick the dispatch with ``engine=``);
+  update; the bank factory decides between the fused bank and
+  per-channel banks);
 * :mod:`repro.runtime.sharded` — :class:`ShardedSystem`, the same facade
   with the learner banks channel-partitioned across worker processes
   (shared-memory exchange lanes, heartbeat/replay shard-death
@@ -39,7 +40,6 @@ from repro.runtime.grouped_bank import (
 )
 from repro.runtime.learner_bank import (
     BankFactory,
-    GroupableBankFactory,
     LearnerBank,
     R2HSBank,
     RegretBank,
@@ -51,13 +51,12 @@ from repro.runtime.learner_bank import (
 )
 from repro.runtime.peer_store import PeerStore
 from repro.runtime.sharded import ShardedGroupedBank, ShardedSystem
-from repro.runtime.system import ENGINES, VectorizedStreamingSystem
+from repro.runtime.system import VectorizedStreamingSystem
 
 __all__ = [
     "PeerStore",
     "LearnerBank",
     "BankFactory",
-    "GroupableBankFactory",
     "RegretBank",
     "RTHSBank",
     "R2HSBank",
@@ -69,7 +68,6 @@ __all__ = [
     "GroupedChannelView",
     "PerChannelGroupedBank",
     "bank_factory",
-    "ENGINES",
     "VectorizedStreamingSystem",
     "ShardedGroupedBank",
     "ShardedSystem",

@@ -22,9 +22,9 @@ Two implementations:
   update kernel pass per width instead of one per channel.
 * :class:`PerChannelGroupedBank` — the reference adapter: wraps the
   classic ``List[LearnerBank]`` and loops channels inside the fused API.
-  This is the ``engine="per_channel"`` path, the baseline the fused
-  engine is asserted bit-identical against, and the fallback for
-  third-party bank factories without a fused implementation.
+  The vectorized system builds it for any plain per-channel factory (the
+  baselines, scripted and third-party banks, and the per-channel regret
+  banks the fused engine is asserted bit-identical against).
 
 **Bit-identity.**  The fused engine reproduces the per-channel path
 float-for-float, by construction:
@@ -116,9 +116,9 @@ def build_per_channel_banks(
 ) -> List[LearnerBank]:
     """Build one bank per channel, with channel-naming error context.
 
-    Shared by the ``per_channel`` engine and the baseline adapters so a
-    factory failure (e.g. a one-helper channel under a regret family)
-    always reports *which* channel could not be built.
+    Used for every plain per-channel factory, so a factory failure (e.g.
+    a one-helper channel under a regret family) always reports *which*
+    channel could not be built.
     """
     banks: List[LearnerBank] = []
     for c, (size, rng) in enumerate(zip(arm_counts, rngs)):

@@ -4,9 +4,13 @@ A *bank* holds the strategy state of every peer watching one channel and
 advances all of them per round with array ops — the population-scale
 counterpart of handing each :class:`~repro.sim.entities.Peer` its own
 :class:`~repro.game.interfaces.Learner` object.  Channels can have
-different helper counts, so the vectorized system builds one bank per
-channel (a *block*); each bank manages its own row space with a free-list
-so churn joins/leaves are O(1).
+different helper counts, so a bank covers one channel (a *block*); each
+bank manages its own row space with a free-list so churn joins/leaves are
+O(1).  Plain per-channel factories (the baselines, third-party banks)
+run through :class:`~repro.runtime.grouped_bank.PerChannelGroupedBank`;
+the per-channel regret banks are the reference the fused
+:class:`~repro.runtime.grouped_bank.GroupedRegretBank` is checked
+against.
 
 The regret banks do **not** reimplement the paper's math: they wrap the
 slot API of :class:`repro.core.population.LearnerPopulation`, which is the
@@ -19,7 +23,8 @@ baselines from :mod:`repro.game.baselines`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, runtime_checkable
+from types import SimpleNamespace
+from typing import Callable, List, Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
@@ -370,30 +375,6 @@ class StickyBank(_RowBank):
             raise ValueError("actions out of range")
 
 
-class GroupableBankFactory:
-    """A per-channel :data:`BankFactory` that can also build a fused bank.
-
-    Calling the object with ``(num_actions, rng)`` builds one per-channel
-    bank, exactly like a plain factory; :meth:`make_grouped` builds the
-    fused :class:`~repro.runtime.grouped_bank.GroupedLearnerBank` over
-    *all* channels at once.  The vectorized system's ``engine="auto"``
-    picks the fused engine iff the factory it was handed exposes
-    ``make_grouped`` — plain third-party lambdas fall back to the
-    per-channel path automatically.
-    """
-
-    def __init__(self, per_channel: BankFactory, make_grouped) -> None:
-        self._per_channel = per_channel
-        self._make_grouped = make_grouped
-
-    def __call__(self, num_actions: int, rng: np.random.Generator):
-        return self._per_channel(num_actions, rng)
-
-    def make_grouped(self, arm_counts, rngs):
-        """Build the fused bank: ``(arm_counts, per-channel rngs)``."""
-        return self._make_grouped(arm_counts, rngs)
-
-
 def bank_factory(
     kind: str,
     epsilon: float = 0.05,
@@ -405,8 +386,8 @@ def bank_factory(
     bank: str = "dense",
     topk: int = 32,
     reselect_every: int = 32,
-) -> BankFactory:
-    """Build a :data:`BankFactory` by name.
+) -> Union[BankFactory, SimpleNamespace]:
+    """Build a learner-bank factory by name.
 
     ``kind`` is one of ``"rths"``, ``"r2hs"``, ``"uniform"``, ``"sticky"``.
     The hyper-parameters mirror the scalar learners; ``u_max`` defaults to
@@ -421,13 +402,13 @@ def bank_factory(
     popularity-driven re-selection every ``reselect_every`` stages).  The
     baselines have no regret state and reject ``"topk"``.
 
-    The regret families return a :class:`GroupableBankFactory` whose
-    ``make_grouped`` hook fuses all channels into a
-    :class:`~repro.runtime.grouped_bank.GroupedRegretBank` (one kernel
-    pass per distinct channel width).  The baselines return a plain
-    per-channel factory: their per-round cost *is* the per-channel RNG
-    call, so there is nothing to fuse and ``engine="auto"`` honestly
-    resolves to the per-channel dispatch for them.
+    The regret families return a factory carrying only a
+    ``make_grouped(arm_counts, rngs)`` hook, which builds the fused
+    :class:`~repro.runtime.grouped_bank.GroupedRegretBank` over all
+    channels (one kernel pass per distinct channel width).  The
+    baselines return a plain per-channel :data:`BankFactory`: their
+    per-round cost *is* the per-channel RNG call, so there is nothing to
+    fuse and the vectorized system runs them per channel.
     """
     kind = kind.lower()
     if bank not in ("dense", "topk"):
@@ -435,22 +416,7 @@ def bank_factory(
     if kind in ("rths", "r2hs"):
         # RTHS is the constant-step member of the family; with the spec
         # layer's constant epsilon both kinds share one recursion, so the
-        # sparse variant serves both.
-        if bank == "topk":
-            def per_channel(h, rng):
-                return TopKRegretBank(
-                    h, k=topk, rng=rng, epsilon=epsilon, mu=mu, delta=delta,
-                    u_max=u_max, dtype=dtype, reselect_every=reselect_every,
-                )
-        else:
-            cls = RTHSBank if kind == "rths" else R2HSBank
-
-            def per_channel(h, rng):
-                return cls(
-                    h, rng=rng, epsilon=epsilon, mu=mu, delta=delta,
-                    u_max=u_max, dtype=dtype,
-                )
-
+        # fused bank serves both.
         def make_grouped(arm_counts, rngs):
             from repro.runtime.grouped_bank import GroupedRegretBank
 
@@ -460,7 +426,7 @@ def bank_factory(
                 reselect_every=reselect_every,
             )
 
-        return GroupableBankFactory(per_channel, make_grouped)
+        return SimpleNamespace(make_grouped=make_grouped)
     if bank == "topk":
         raise ValueError(
             f"bank 'topk' applies to the regret families, not {kind!r}"

@@ -420,7 +420,7 @@ class _ShardedChannelView:
         raise RuntimeError(
             "sharded banks host their populations in worker processes; "
             "per-channel population introspection is only available on "
-            "the in-process engines"
+            "the in-process banks"
         )
 
 
@@ -888,10 +888,9 @@ class ShardedGroupedBank:
 class _ShardedFactory:
     """Adapter handing :class:`VectorizedStreamingSystem` a sharded bank.
 
-    Wraps a stock :class:`~repro.runtime.learner_bank.GroupableBankFactory`:
-    per-channel calls pass through, ``make_grouped`` builds the
-    :class:`ShardedGroupedBank` around the wrapped factory's own fused
-    hook (which each worker invokes to build its real bank).
+    Wraps a stock regret-family factory: its ``make_grouped`` builds
+    the :class:`ShardedGroupedBank` around the wrapped factory's own
+    fused hook (which each worker invokes to build its real bank).
     """
 
     def __init__(self, base, shards: int, options: dict) -> None:
@@ -902,14 +901,10 @@ class _ShardedFactory:
                 "make_grouped hook (a stock regret-family factory from "
                 "repro.runtime.bank_factory)"
             )
-        self._base = base
         self._inner = inner
         self._shards = int(shards)
         self._options = dict(options)
         self.built: Optional[ShardedGroupedBank] = None
-
-    def __call__(self, num_actions: int, rng):
-        return self._base(num_actions, rng)
 
     def make_grouped(self, arm_counts, rngs) -> ShardedGroupedBank:
         self.built = ShardedGroupedBank(
@@ -977,17 +972,11 @@ class ShardedSystem(VectorizedStreamingSystem):
         initial_channels: Optional[Sequence[int]] = None,
         capacity_backend: str = "vectorized",
         dtype=np.float64,
-        engine: str = "auto",
         checkpoint_every: int = 64,
         heartbeat_timeout: float = 60.0,
         max_retries: int = 2,
     ) -> None:
-        if engine not in ("auto", "grouped"):
-            raise ValueError(
-                "sharded runs use the fused grouped engine; engine must "
-                f"be 'auto' or 'grouped', got {engine!r}"
-            )
-        shim = _ShardedFactory(
+        factory = _ShardedFactory(
             bank_factory,
             shards,
             {
@@ -1000,17 +989,16 @@ class ShardedSystem(VectorizedStreamingSystem):
         try:
             super().__init__(
                 config,
-                shim,
+                factory,
                 rng=rng,
                 capacity_process=capacity_process,
                 initial_channels=initial_channels,
                 capacity_backend=capacity_backend,
                 dtype=dtype,
-                engine="grouped",
             )
         except BaseException:
-            if shim.built is not None:
-                shim.built.close()
+            if factory.built is not None:
+                factory.built.close()
             raise
 
     @property

@@ -15,14 +15,14 @@ one fused ``act_all``, ``np.bincount`` for helper loads, masked
 arithmetic for shares and deficits, one fused ``observe_all`` — instead
 of a Python loop over peers or ``2 * C`` per-channel bank calls.
 
-The ``engine`` parameter picks the learner dispatch structure:
-``"grouped"`` (the fused engine, one kernel pass per distinct channel
-width) or ``"per_channel"`` (private per-channel banks looped inside the
-fused API — the pre-fusion reference).  The two engines are
-**bit-identical**: same per-channel RNG streams, same per-row float
-sequences, same traces (asserted trace-for-trace in
-``tests/runtime/test_grouped_engine.py``).  ``"auto"`` (default) uses the
-fused engine whenever the bank factory provides one.
+The bank factory decides the learner dispatch: a factory with a
+``make_grouped`` hook (the stock regret families) builds the fused bank,
+one kernel pass per distinct channel width; any plain per-channel
+factory runs its banks through
+:class:`~repro.runtime.grouped_bank.PerChannelGroupedBank`.  The two are
+**bit-identical** for the regret families: same per-channel RNG streams,
+same per-row float sequences, same traces (asserted trace-for-trace in
+``tests/runtime/test_grouped_engine.py``).
 
 Given identical helper choices the scalar and vectorized systems produce
 identical round records (asserted trace-for-trace in
@@ -42,7 +42,6 @@ from repro.runtime.grouped_bank import (
     PerChannelGroupedBank,
     build_per_channel_banks,
 )
-from repro.runtime.learner_bank import BankFactory
 from repro.runtime.peer_store import PeerStore
 from repro.sim.bandwidth import paper_bandwidth_process
 from repro.sim.churn import ChurnProcess
@@ -63,9 +62,6 @@ from repro.util.rng import Seedish, as_generator, spawn
 
 logger = get_logger("runtime")
 
-#: Learner dispatch structures the vectorized system supports.
-ENGINES = ("auto", "grouped", "per_channel")
-
 
 class VectorizedStreamingSystem:
     """A runnable multi-channel P2P streaming deployment, array-backed.
@@ -76,11 +72,12 @@ class VectorizedStreamingSystem:
         The same :class:`~repro.sim.system.SystemConfig` the scalar system
         takes.
     bank_factory:
-        Builds one :class:`~repro.runtime.learner_bank.LearnerBank` per
-        channel: called with ``(num_channel_helpers, child_rng)``.  The
-        stock factories from :func:`repro.runtime.bank_factory` also
-        carry a ``make_grouped`` hook building the fused multi-channel
-        engine; plain factories run on the per-channel engine.
+        Either an object whose ``make_grouped(arm_counts, child_rngs)``
+        builds the fused :class:`~repro.runtime.grouped_bank.GroupedLearnerBank`
+        over all channels (the regret families from
+        :func:`repro.runtime.bank_factory`), or a plain callable building
+        one :class:`~repro.runtime.learner_bank.LearnerBank` per channel
+        from ``(num_channel_helpers, child_rng)``.
     rng, capacity_process:
         As in the scalar system.
     initial_channels:
@@ -99,25 +96,17 @@ class VectorizedStreamingSystem:
         halves their memory traffic; pair it with a float32 bank via
         ``bank_factory(..., dtype=np.float32)`` for the full effect.
         Round records stay float64.
-    engine:
-        ``"grouped"`` — one fused ``act_all``/``observe_all`` across all
-        channels per round (requires a factory with ``make_grouped``);
-        ``"per_channel"`` — private per-channel banks, the pre-fusion
-        dispatch; ``"auto"`` (default) — grouped when available.  The
-        engines are bit-identical; grouped removes the O(C) per-round
-        Python/numpy dispatch wall.
     """
 
     def __init__(
         self,
         config: SystemConfig,
-        bank_factory: BankFactory,
+        bank_factory,
         rng: Seedish = None,
         capacity_process=None,
         initial_channels: Optional[Sequence[int]] = None,
         capacity_backend: str = "vectorized",
         dtype=np.float64,
-        engine: str = "auto",
     ) -> None:
         self._config = config
         self._rng = as_generator(rng)
@@ -192,23 +181,12 @@ class VectorizedStreamingSystem:
             self._helper_table[c, : helpers.size] = helpers
 
         # The learner bank: one object owning every channel's rows.  Child
-        # generators are spawned in channel order regardless of engine, so
-        # both engines (and the pre-fusion per-channel banks) consume the
+        # generators are spawned in channel order whichever bank the
+        # factory builds, so fused and per-channel banks consume the
         # parent stream identically.
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         bank_rngs = [spawn(self._rng) for _ in range(config.num_channels)]
         make_grouped = getattr(bank_factory, "make_grouped", None)
-        if engine == "auto":
-            engine = "grouped" if make_grouped is not None else "per_channel"
-        if engine == "grouped":
-            if make_grouped is None:
-                raise ValueError(
-                    "bank_factory has no fused channel-grouped "
-                    "implementation (no make_grouped hook); use "
-                    "engine='per_channel' or a stock factory from "
-                    "repro.runtime.bank_factory"
-                )
+        if make_grouped is not None:
             self._bank: GroupedLearnerBank = make_grouped(widths, bank_rngs)
             if self._bank.num_channels != config.num_channels:
                 raise ValueError(
@@ -225,7 +203,6 @@ class VectorizedStreamingSystem:
             self._bank = PerChannelGroupedBank(
                 build_per_channel_banks(bank_factory, widths, bank_rngs)
             )
-        self._engine = engine
 
         # Initial population, bulk-allocated.
         self._store = PeerStore(
@@ -315,9 +292,9 @@ class VectorizedStreamingSystem:
         self._hist_round_s = tel.histogram("round.duration_s")
         self._pump = tel.pump()
         logger.debug(
-            "vectorized system up: N=%d H=%d C=%d engine=%s dtype=%s",
+            "vectorized system up: N=%d H=%d C=%d bank=%s dtype=%s",
             config.num_peers, config.num_helpers, config.num_channels,
-            self._engine, np.dtype(dtype).name,
+            type(self._bank).__name__, np.dtype(dtype).name,
         )
 
     # ------------------------------------------------------------------
@@ -408,11 +385,6 @@ class VectorizedStreamingSystem:
         return self._store
 
     @property
-    def engine(self) -> str:
-        """The resolved learner engine: ``"grouped"`` or ``"per_channel"``."""
-        return self._engine
-
-    @property
     def bank(self) -> GroupedLearnerBank:
         """The learner bank owning every channel's rows."""
         return self._bank
@@ -421,9 +393,9 @@ class VectorizedStreamingSystem:
     def banks(self) -> List:
         """Per-channel bank views, in channel order.
 
-        Under the per-channel engine these are the actual
+        For a plain per-channel factory these are the actual
         :class:`~repro.runtime.learner_bank.LearnerBank` objects; under
-        the grouped engine they are lightweight
+        the fused bank they are lightweight
         :class:`~repro.runtime.grouped_bank.GroupedChannelView` objects
         exposing ``num_actions`` and the shared width-group
         ``population`` for introspection.

@@ -53,9 +53,6 @@ SPEC_DTYPES = ("float32", "float64")
 #: Learner-bank storage families a spec can request.
 SPEC_BANKS = ("dense", "topk")
 
-#: Learner dispatch engines a spec can request (vectorized backend).
-SPEC_ENGINES = ("auto", "grouped", "per_channel")
-
 
 def _check_unknown_keys(cls, data: Mapping[str, Any]) -> None:
     allowed = {f.name for f in dataclasses.fields(cls)}
@@ -428,13 +425,11 @@ class LearnerSpec:
     per-peer regret tensor, ``"topk"`` the sparse top-k blocks of
     :class:`~repro.runtime.learner_bank.TopKRegretBank` tracking ``topk``
     arms per peer (vectorized backend, regret families only; the memory
-    unlock for giant helper counts).  ``engine`` selects the vectorized
-    round's learner dispatch: ``"grouped"`` (one fused
-    ``act_all``/``observe_all`` across every channel — bit-identical to
-    per-channel, removes the O(C) dispatch wall), ``"per_channel"``
-    (private per-channel banks), or ``"auto"`` (grouped for families
-    registered with ``grouped=True`` — every builtin — per-channel
-    otherwise).  It composes with ``bank="topk"``.
+    unlock for giant helper counts).  The vectorized round's learner
+    dispatch follows the family's bank factory: families registered
+    with ``grouped=True`` (the regret families) run one fused
+    ``act_all``/``observe_all`` across every channel, the rest run
+    per-channel banks.
 
     ``shards`` > 1 channel-partitions the learner banks across that many
     worker processes (:class:`~repro.runtime.sharded.ShardedSystem`) —
@@ -453,7 +448,6 @@ class LearnerSpec:
     dtype: str = "float64"
     bank: str = "dense"
     topk: int = 32
-    engine: str = "auto"
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -465,10 +459,6 @@ class LearnerSpec:
         if self.bank not in SPEC_BANKS:
             raise ValueError(
                 f"bank must be one of {SPEC_BANKS}, got {self.bank!r}"
-            )
-        if self.engine not in SPEC_ENGINES:
-            raise ValueError(
-                f"engine must be one of {SPEC_ENGINES}, got {self.engine!r}"
             )
         if not isinstance(self.topk, int) or self.topk < 2:
             raise ValueError(
@@ -855,21 +845,6 @@ class ExperimentSpec:
                     "bank; families registered with sparse=True: "
                     f"{[n for n in LEARNERS if LEARNERS.get(n).sparse]}"
                 )
-        if self.learner.engine != "auto":
-            if self.backend == "scalar":
-                raise ValueError(
-                    "learner.engine applies to the vectorized backend "
-                    "(scalar learners are per-peer objects); use "
-                    'backend="vectorized" or engine="auto"'
-                )
-            if self.learner.engine == "grouped" and not entry.grouped:
-                raise ValueError(
-                    f"learner {self.learner.name!r} has no fused "
-                    "channel-grouped engine; families registered with "
-                    "grouped=True: "
-                    f"{[n for n in LEARNERS if LEARNERS.get(n).grouped]}; "
-                    'use engine="per_channel"'
-                )
         if self.learner.shards > 1:
             if self.backend != "vectorized":
                 raise ValueError(
@@ -877,11 +852,12 @@ class ExperimentSpec:
                     "(sharding partitions the learner banks); use "
                     'backend="vectorized" or shards=1'
                 )
-            if self.resolved_engine() != "grouped":
+            if not entry.grouped:
                 raise ValueError(
-                    "learner.shards requires the fused channel-grouped "
-                    f"engine; learner {self.learner.name!r} resolves to "
-                    f"engine={self.resolved_engine()!r}"
+                    "learner.shards requires a fused channel-grouped bank; "
+                    f"learner {self.learner.name!r} has none (families "
+                    "registered with grouped=True: "
+                    f"{[n for n in LEARNERS if LEARNERS.get(n).grouped]})"
                 )
             if self.learner.shards > self.topology.num_channels:
                 raise ValueError(
@@ -1064,23 +1040,6 @@ class ExperimentSpec:
             return self.capacity.backend
         return "vectorized" if self.backend == "vectorized" else "scalar"
 
-    def resolved_engine(self) -> Optional[str]:
-        """``learner.engine`` with ``"auto"`` resolved via the registry.
-
-        ``None`` on the scalar backend (no banks there); otherwise
-        ``"grouped"`` for families registered with the fused engine and
-        ``"per_channel"`` for the rest.
-        """
-        if self.backend != "vectorized":
-            return None
-        if self.learner.engine != "auto":
-            return self.learner.engine
-        return (
-            "grouped"
-            if LEARNERS.get(self.learner.name).grouped
-            else "per_channel"
-        )
-
     def to_config(self):
         """The :class:`~repro.sim.system.SystemConfig` both backends share."""
         from repro.sim.system import SystemConfig
@@ -1119,7 +1078,7 @@ class ExperimentSpec:
         )
 
     def bank_factory(self):
-        """A per-channel :data:`~repro.runtime.learner_bank.BankFactory`."""
+        """The family's vectorized bank factory (see :func:`repro.runtime.bank_factory`)."""
         entry = LEARNERS.get(self.learner.name)
         if entry.bank is None:
             raise ValueError(
@@ -1240,7 +1199,6 @@ class ExperimentSpec:
                     rng=parent,
                     capacity_process=capacity_process,
                     dtype=np.dtype(self.learner.dtype),
-                    engine=self.resolved_engine(),
                 )
             from repro.runtime import VectorizedStreamingSystem
 
@@ -1250,7 +1208,6 @@ class ExperimentSpec:
                 rng=parent,
                 capacity_process=capacity_process,
                 dtype=np.dtype(self.learner.dtype),
-                engine=self.resolved_engine(),
             )
         from repro.sim.system import StreamingSystem
 

@@ -141,10 +141,10 @@ class LearnerEntry:
     ``scalar(epsilon, delta, mu, u_max)`` returns a
     :data:`~repro.sim.system.LearnerFactory` (per-peer learner objects for
     :class:`~repro.sim.system.StreamingSystem`);
-    ``bank(epsilon, delta, mu, u_max, dtype)`` returns a
-    :data:`~repro.runtime.learner_bank.BankFactory` (one vectorized block
-    per channel for
-    :class:`~repro.runtime.VectorizedStreamingSystem`).  Entries without a
+    ``bank(epsilon, delta, mu, u_max, dtype)`` returns a vectorized bank
+    factory for :class:`~repro.runtime.VectorizedStreamingSystem`: either
+    a plain :data:`~repro.runtime.learner_bank.BankFactory` (one block
+    per channel) or an object with a fused ``make_grouped`` hook.  Entries without a
     vectorized implementation may leave ``bank`` as ``None`` (and vice
     versa); building a spec on the missing backend then raises a clear
     error.  ``min_actions`` is the smallest per-channel helper count the
@@ -156,12 +156,9 @@ class LearnerEntry:
     :class:`~repro.runtime.learner_bank.TopKRegretBank`); specs with
     ``learner.bank = "topk"`` are only valid against such entries.
     ``grouped`` declares that the bank builder's factories carry a
-    ``make_grouped`` hook (see
-    :class:`~repro.runtime.learner_bank.GroupableBankFactory`) building
-    the fused multi-channel engine; specs with
-    ``learner.engine = "grouped"`` are only valid against such entries,
-    and ``engine = "auto"`` resolves to the fused engine exactly for
-    them.
+    ``make_grouped`` hook building the fused multi-channel bank (see
+    :func:`~repro.runtime.learner_bank.bank_factory`); specs with
+    ``learner.shards > 1`` are only valid against such entries.
     """
 
     scalar: Optional[Callable] = None
@@ -253,7 +250,8 @@ def register_learner(
     Pass ``sparse=True`` when the ``bank`` builder also accepts
     ``bank=``/``topk=`` keyword arguments (sparse top-k storage) and
     ``grouped=True`` when its factories carry a ``make_grouped`` hook
-    (the fused multi-channel engine; plain factories run per-channel).
+    (the fused multi-channel bank, which sharding requires; plain
+    factories run per-channel).
     ``description`` is the one-line summary ``repro list`` prints.
     """
     if scalar is None and bank is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.r2hs import R2HSLearner
+from repro.runtime.grouped_bank import GroupedRegretBank, PerChannelGroupedBank
 from repro.runtime.learner_bank import (
     R2HSBank,
     RTHSBank,
@@ -120,11 +121,22 @@ class TestBankFactory:
     @pytest.mark.parametrize("kind", ["rths", "r2hs", "uniform", "sticky"])
     def test_builds_each_kind(self, kind):
         factory = bank_factory(kind)
-        bank = factory(4, np.random.default_rng(0))
-        assert bank.num_actions == 4
-        rows = bank.acquire_many(3)
-        actions = bank.act(rows)
-        bank.observe(rows, actions, np.full(3, 400.0))
+        if kind in ("rths", "r2hs"):
+            # The regret families carry only the fused hook.
+            assert not callable(factory)
+            bank = factory.make_grouped([4, 3], [np.random.default_rng(0)] * 2)
+            assert isinstance(bank, GroupedRegretBank)
+        else:
+            assert not hasattr(factory, "make_grouped")
+            bank = PerChannelGroupedBank(
+                [factory(4, np.random.default_rng(0)),
+                 factory(3, np.random.default_rng(1))]
+            )
+        assert [bank.num_actions_of(c) for c in range(2)] == [4, 3]
+        rows = bank.acquire_many(0, 3)
+        offsets = np.array([0, 3, 3])
+        actions = bank.act_all(offsets, rows)
+        bank.observe_all(offsets, rows, actions, np.full(3, 400.0))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Bit-identity of the fused multi-channel engine.
 
 The decisive suite for the grouped learner engine: under the same seed,
-``engine="grouped"`` and ``engine="per_channel"`` must produce **the same
-bytes** — every trace array equal with ``np.array_equal`` (no tolerance),
-dense and sparse top-k storage, with and without churn, viewer channel
-switching, and per-peer recording.  Plus property tests for the
-incremental channel-sorted permutation the fused round loop consumes.
+a stock factory (which the vectorized system runs fused) and the same
+family as a plain per-channel factory (which it runs through
+:class:`PerChannelGroupedBank`) must produce **the same bytes** — every
+trace array equal with ``np.array_equal`` (no tolerance), dense and
+sparse top-k storage, with and without churn, viewer channel switching,
+and per-peer recording.  Plus property tests for the incremental
+channel-sorted permutation the fused round loop consumes.
 """
 
 import numpy as np
@@ -16,6 +18,9 @@ from repro.runtime import (
     GroupedRegretBank,
     PeerStore,
     PerChannelGroupedBank,
+    R2HSBank,
+    RTHSBank,
+    TopKRegretBank,
     VectorizedStreamingSystem,
     bank_factory,
 )
@@ -28,14 +33,26 @@ CHURN = ChurnConfig(
 )
 
 
-def build(engine, config, *, kind="r2hs", bank="dense", topk=32, seed=42,
-          initial_channels=None):
+def stock(kind="r2hs", bank="dense", topk=32, dtype=np.float64):
+    """The stock factory: fused for the regret families."""
+    return bank_factory(kind, u_max=U_MAX, bank=bank, topk=topk, dtype=dtype)
+
+
+def per_channel(kind="r2hs", bank="dense", topk=32, dtype=np.float64):
+    """The same regret family as a plain per-channel factory."""
+    if bank == "topk":
+        return lambda h, rng: TopKRegretBank(
+            h, k=topk, rng=rng, u_max=U_MAX, dtype=dtype
+        )
+    cls = RTHSBank if kind == "rths" else R2HSBank
+    return lambda h, rng: cls(h, rng=rng, u_max=U_MAX, dtype=dtype)
+
+
+def build(factory, config, *, seed=42, initial_channels=None,
+          dtype=np.float64):
     return VectorizedStreamingSystem(
-        config,
-        bank_factory(kind, u_max=U_MAX, bank=bank, topk=topk),
-        rng=seed,
-        engine=engine,
-        initial_channels=initial_channels,
+        config, factory, rng=seed, initial_channels=initial_channels,
+        dtype=dtype,
     )
 
 
@@ -57,10 +74,23 @@ class TestGroupedBitIdentity:
             num_peers=90, num_helpers=7, num_channels=3,
             channel_bitrates=[100.0, 150.0, 250.0],
         )
-        sg = build("grouped", config)
-        sp = build("per_channel", config)
-        assert sg.engine == "grouped" and sp.engine == "per_channel"
+        sg = build(stock(), config)
+        sp = build(per_channel(), config)
+        assert isinstance(sg.bank, GroupedRegretBank)
+        assert isinstance(sp.bank, PerChannelGroupedBank)
         assert_traces_identical(sg.run(120), sp.run(120))
+
+    def test_rths_matches_per_channel_rths_banks(self):
+        """RTHS shares the fused bank with R2HS; it must still equal
+        private per-channel :class:`RTHSBank` blocks."""
+        config = SystemConfig(
+            num_peers=60, num_helpers=7, num_channels=3,
+            channel_bitrates=100.0, churn=CHURN,
+        )
+        assert_traces_identical(
+            build(stock("rths"), config).run(120),
+            build(per_channel("rths"), config).run(120),
+        )
 
     def test_dense_under_churn_and_switching(self):
         config = SystemConfig(
@@ -68,8 +98,8 @@ class TestGroupedBitIdentity:
             channel_bitrates=100.0, churn=CHURN, channel_switch_rate=0.5,
         )
         assert_traces_identical(
-            build("grouped", config).run(200),
-            build("per_channel", config).run(200),
+            build(stock(), config).run(200),
+            build(per_channel(), config).run(200),
         )
 
     def test_topk_under_churn_with_promotion_and_reselection(self):
@@ -79,8 +109,8 @@ class TestGroupedBitIdentity:
             num_peers=90, num_helpers=40, num_channels=2,
             channel_bitrates=100.0, churn=CHURN,
         )
-        sg = build("grouped", config, bank="topk", topk=3)
-        sp = build("per_channel", config, bank="topk", topk=3)
+        sg = build(stock(bank="topk", topk=3), config)
+        sp = build(per_channel(bank="topk", topk=3), config)
         assert_traces_identical(sg.run(250), sp.run(250))
         # The sparse machinery actually exercised on both sides.
         grouped_promotions = sum(
@@ -97,8 +127,8 @@ class TestGroupedBitIdentity:
             channel_bitrates=100.0, record_peers=True,
         )
         initial = [i % 3 for i in range(40)]
-        tg = build("grouped", config, initial_channels=initial).run(60)
-        tp = build("per_channel", config, initial_channels=initial).run(60)
+        tg = build(stock(), config, initial_channels=initial).run(60)
+        tp = build(per_channel(), config, initial_channels=initial).run(60)
         assert_traces_identical(tg, tp)
         a, b = tg.to_trajectory(), tp.to_trajectory()
         assert np.array_equal(a.actions, b.actions)
@@ -106,74 +136,52 @@ class TestGroupedBitIdentity:
 
     def test_baseline_families_run_per_channel_honestly(self):
         """The baselines have nothing to fuse (their round cost is the
-        per-channel RNG call): auto resolves to per_channel, and asking
-        for the fused engine is a clear error, not silent relabeling."""
+        per-channel RNG call): their stock factories are plain
+        per-channel ones, run through the per-channel adapter."""
         config = SystemConfig(
             num_peers=50, num_helpers=8, num_channels=3,
             channel_bitrates=100.0, churn=CHURN,
         )
         for kind in ("uniform", "sticky"):
-            system = build("auto", config, kind=kind)
-            assert system.engine == "per_channel"
+            factory = stock(kind)
+            assert not hasattr(factory, "make_grouped")
+            system = build(factory, config)
+            assert isinstance(system.bank, PerChannelGroupedBank)
             trace = system.run(80)
             assert np.all(trace.loads.sum(axis=1) == trace.online_peers)
-            with pytest.raises(ValueError, match="make_grouped"):
-                build("grouped", config, kind=kind)
 
     def test_float32_banks_identical(self):
         config = SystemConfig(
             num_peers=60, num_helpers=6, num_channels=2,
             channel_bitrates=100.0,
         )
-        for engine_pair in [("grouped", "per_channel")]:
-            systems = [
-                VectorizedStreamingSystem(
-                    config,
-                    bank_factory("r2hs", u_max=U_MAX, dtype=np.float32),
-                    rng=3,
-                    engine=engine,
-                    dtype=np.float32,
-                )
-                for engine in engine_pair
-            ]
-            assert_traces_identical(systems[0].run(100), systems[1].run(100))
+        systems = [
+            build(factory, config, seed=3, dtype=np.float32)
+            for factory in (
+                stock(dtype=np.float32), per_channel(dtype=np.float32)
+            )
+        ]
+        assert_traces_identical(systems[0].run(100), systems[1].run(100))
 
 
 class TestEngineSelection:
     def test_auto_resolves_to_grouped_for_stock_factories(self):
         config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        system = build("auto", config)
-        assert system.engine == "grouped"
+        system = build(stock(), config)
         assert isinstance(system.banks[0], GroupedChannelView)
         assert isinstance(system.bank, GroupedRegretBank)
 
     def test_auto_falls_back_for_plain_factories(self):
-        from repro.runtime.learner_bank import RTHSBank
-
         config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        system = VectorizedStreamingSystem(
-            config, lambda h, rng: RTHSBank(h, rng=rng, u_max=U_MAX), rng=0
-        )
-        assert system.engine == "per_channel"
+        system = build(per_channel("rths"), config, seed=0)
         assert isinstance(system.bank, PerChannelGroupedBank)
         assert isinstance(system.banks[0], RTHSBank)
 
-    def test_grouped_with_plain_factory_raises(self):
-        from repro.runtime.learner_bank import RTHSBank
-
-        config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        with pytest.raises(ValueError, match="make_grouped"):
-            VectorizedStreamingSystem(
-                config,
-                lambda h, rng: RTHSBank(h, rng=rng, u_max=U_MAX),
-                rng=0,
-                engine="grouped",
-            )
-
     def test_unknown_engine_rejected(self):
+        """The factory alone picks the bank; there is no engine option."""
         config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        with pytest.raises(ValueError, match="engine"):
-            build("turbo", config)
+        with pytest.raises(TypeError, match="engine"):
+            VectorizedStreamingSystem(config, stock(), rng=0, engine="grouped")
 
     def test_grouped_one_helper_channel_names_the_channel(self):
         """Round-robin can hand a channel one helper; the fused regret
@@ -182,14 +190,14 @@ class TestEngineSelection:
             num_peers=10, num_helpers=5, num_channels=4, channel_bitrates=100.0
         )
         with pytest.raises(ValueError, match=r"channel 1 .*1 helper"):
-            build("grouped", config)
+            build(stock(), config)
 
     def test_width_groups_fuse_round_robin_partition(self):
         # 10 helpers over 4 channels: widths 3, 3, 2, 2 -> 2 kernel groups.
         config = SystemConfig(
             num_peers=20, num_helpers=10, num_channels=4, channel_bitrates=100.0
         )
-        system = build("grouped", config)
+        system = build(stock(), config)
         assert system.bank.num_width_groups == 2
         # Channels of equal width share one backing population.
         populations = {c: system.banks[c].population for c in range(4)}
@@ -264,7 +272,7 @@ class TestIncrementalChannelGrouping:
         config = SystemConfig(
             num_peers=12, num_helpers=4, num_channels=2, channel_bitrates=100.0
         )
-        system = build("grouped", config, seed=1)
+        system = build(stock(), config, seed=1)
         system.run(2)
         store = system.store
         moved = store.online_slots()[:3]

@@ -56,7 +56,6 @@ def single(config, *, kind="r2hs", bank="dense", topk=32, seed=42,
         config,
         bank_factory(kind, u_max=U_MAX, bank=bank, topk=topk),
         rng=seed,
-        engine="grouped",
         initial_channels=initial_channels,
     )
 
@@ -121,7 +120,6 @@ class TestShardedBitIdentity:
             config,
             bank_factory("r2hs", u_max=U_MAX, dtype=np.float32),
             rng=7,
-            engine="grouped",
             dtype=np.float32,
         ).run(40)
         system = ShardedSystem(
@@ -416,7 +414,9 @@ class TestShardedLifecycleAndValidation:
             )
 
     def test_per_channel_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
+        """Sharding always runs the fused bank; there is no engine option
+        to ask for per-channel dispatch."""
+        with pytest.raises(TypeError, match="engine"):
             sharded(config_for(churn=ChurnConfig()), 2, engine="per_channel")
 
     def test_population_introspection_names_the_limitation(self):

@@ -17,7 +17,12 @@ import pytest
 
 from repro.core.population import LearnerPopulation
 from repro.core.sparse_population import TopKPopulation
-from repro.runtime import TopKRegretBank, VectorizedStreamingSystem, bank_factory
+from repro.runtime import (
+    PerChannelGroupedBank,
+    TopKRegretBank,
+    VectorizedStreamingSystem,
+    bank_factory,
+)
 from repro.sim import (
     SystemConfig,
     TraceCapacityProcess,
@@ -241,10 +246,20 @@ class TestSparseApproximation:
 class TestBankPlumbing:
     def test_bank_factory_topk_builds_topk_banks(self):
         factory = bank_factory("r2hs", u_max=U_MAX, bank="topk", topk=8)
-        bank = factory(40, np.random.default_rng(0))
-        assert isinstance(bank, TopKRegretBank)
-        assert bank.num_actions == 40
-        assert bank.k == 8
+        view = factory.make_grouped([40], [np.random.default_rng(0)]).channel_views()[0]
+        assert isinstance(view.population, TopKPopulation)
+        assert view.num_actions == 40
+        assert view.k == 8
+        # The per-channel reference bank runs through the adapter.
+        config = SystemConfig(num_peers=10, num_helpers=40, channel_bitrates=100.0)
+        system = VectorizedStreamingSystem(
+            config,
+            lambda h, rng: TopKRegretBank(h, k=8, rng=rng, u_max=U_MAX),
+            rng=0,
+        )
+        assert isinstance(system.bank, PerChannelGroupedBank)
+        assert isinstance(system.banks[0], TopKRegretBank)
+        assert system.banks[0].k == 8
 
     def test_bank_factory_rejects_topk_for_baselines(self):
         with pytest.raises(ValueError, match="regret families"):
