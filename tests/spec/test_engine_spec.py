@@ -66,7 +66,15 @@ class TestEngineSpecField:
                 ExperimentSpec.from_dict({"learner": {"engine": engine}})
         with pytest.raises(ValueError, match="engine"):
             ExperimentSpec().with_overrides({"learner.engine": "grouped"})
-        assert "engine" not in ExperimentSpec().to_dict()["learner"]
+
+    def test_roundtrip_omits_engine(self):
+        """A learner spec round-trips without an ``engine`` key."""
+        spec = ExperimentSpec.from_dict({"learner": {"name": "uniform"}})
+        clone = ExperimentSpec.from_json(spec.to_json())
+        assert clone == spec
+        assert clone.learner.name == "uniform"
+        assert "engine" not in clone.to_dict()["learner"]
+        assert not hasattr(clone.learner, "engine")
 
     def test_explicit_engine_on_scalar_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown LearnerSpec field"):
